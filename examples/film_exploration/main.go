@@ -68,6 +68,10 @@ func main() {
 	}
 
 	// An entity profile (the presentation area, Fig. 3-d).
+	profile, err := eng.LookupCtx(ctx, g.EntityByName("Forrest_Gump"))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
-	fmt.Print(eng.Lookup(g.EntityByName("Forrest_Gump")).Render())
+	fmt.Print(profile.Render())
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -22,38 +23,38 @@ func submitSetup() *kg.Graph {
 	return submitGraph
 }
 
-// BenchmarkSubmit measures one full interactive turn: keyword retrieval,
-// pseudo-seed feature ranking and the heat map, i.e. what one POST
-// /api/query costs once the engine is warm.
-func BenchmarkSubmit(b *testing.B) {
-	g := submitSetup()
-	eng := core.New(g, core.Options{})
-	eng.Submit("forrest gump") // warm caches
+// applyEach applies op b.N times on a warm engine, each time a full
+// evaluation of every interface area.
+func applyEach(b *testing.B, eng *core.Engine, op core.Op) {
+	ctx := context.Background()
+	if _, err := eng.Apply(ctx, op); err != nil { // warm caches
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.Submit("forrest gump")
+		res, err := eng.Apply(ctx, op)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Entities) == 0 {
 			b.Fatal("no entities")
 		}
 	}
 }
 
+// BenchmarkSubmit measures one full interactive turn: keyword retrieval,
+// pseudo-seed feature ranking and the heat map, i.e. what one submit op
+// on POST /api/v1/ops costs once the engine is warm.
+func BenchmarkSubmit(b *testing.B) {
+	applyEach(b, core.New(submitSetup(), core.Options{}), core.OpSubmit("forrest gump"))
+}
+
 // BenchmarkPivot measures the pivot operation (switch domain, re-expand)
 // on a warm engine.
 func BenchmarkPivot(b *testing.B) {
 	g := submitSetup()
-	eng := core.New(g, core.Options{})
-	ent := g.EntityByName("Forrest_Gump")
-	eng.Pivot(ent)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eng.Pivot(ent)
-		if len(res.Entities) == 0 {
-			b.Fatal("no entities")
-		}
-	}
+	applyEach(b, core.New(g, core.Options{}), core.OpPivot(g.EntityByName("Forrest_Gump")))
 }
 
 // BenchmarkSubmitUninstrumented is BenchmarkSubmit with the obs layer
@@ -61,17 +62,7 @@ func BenchmarkPivot(b *testing.B) {
 // timing + op metrics on the hot path, gated at ≤1.10× in
 // benchgates.json via BENCH_obs.json.
 func BenchmarkSubmitUninstrumented(b *testing.B) {
-	g := submitSetup()
-	eng := core.New(g, core.Options{})
-	eng.Submit("forrest gump")
 	prev := obs.SetEnabled(false)
 	defer obs.SetEnabled(prev)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eng.Submit("forrest gump")
-		if len(res.Entities) == 0 {
-			b.Fatal("no entities")
-		}
-	}
+	applyEach(b, core.New(submitSetup(), core.Options{}), core.OpSubmit("forrest gump"))
 }

@@ -61,7 +61,7 @@ func OpPivot(e rdf.TermID) Op { return Op{Kind: OpKindPivot, Entity: e} }
 // OpRevisit restores a historical query from the timeline (1-based).
 func OpRevisit(step int) Op { return Op{Kind: OpKindRevisit, Step: step} }
 
-// Fields selects which areas of the interface Apply/Evaluate assemble.
+// Fields selects which areas of the interface ApplyFields/EvaluateCtx assemble.
 // The heat map is by far the most expensive area, so callers that only
 // need the x-axis ask for FieldEntities and skip its construction
 // entirely (the HTTP server maps ?include= onto this).

@@ -14,36 +14,6 @@ import (
 	"pivote/internal/semfeat"
 )
 
-func TestApplyMatchesLegacyMethods(t *testing.T) {
-	ctx := context.Background()
-	a, f := newEngine(t)
-	b := New(f.Graph, Options{TopEntities: 10, TopFeatures: 8})
-
-	legacy := a.Submit("forrest gump")
-	viaOp, err := b.Apply(ctx, OpSubmit("forrest gump"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Description != viaOp.Description {
-		t.Fatalf("descriptions differ: %q vs %q", legacy.Description, viaOp.Description)
-	}
-	if !reflect.DeepEqual(legacy.Entities, viaOp.Entities) {
-		t.Fatal("entities differ between legacy Submit and Apply")
-	}
-
-	legacy = a.AddSeed(f.E("Forrest_Gump"))
-	viaOp, err = b.Apply(ctx, OpAddSeed(f.E("Forrest_Gump")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Entities, viaOp.Entities) {
-		t.Fatal("entities differ between legacy AddSeed and Apply")
-	}
-	if len(b.Ops()) != 2 {
-		t.Fatalf("op log = %d ops, want 2", len(b.Ops()))
-	}
-}
-
 func TestApplyTypedErrors(t *testing.T) {
 	ctx := context.Background()
 	e, f := newEngine(t)

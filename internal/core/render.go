@@ -10,7 +10,7 @@ import (
 // RenderASCII assembles the whole workspace of Fig. 3 as text: the query
 // area (a/b), the entity recommendation area (c), the semantic-feature
 // recommendation area (e), the explanation heat map (f) and the timeline
-// (g). The entity presentation area (d) is produced by Engine.Lookup.
+// (g). The entity presentation area (d) is produced by Engine.LookupCtx.
 func (r *Result) RenderASCII() string {
 	var b strings.Builder
 	b.WriteString("┌─ query (a,b) ─────────────────────────────────────\n")

@@ -8,23 +8,24 @@ import (
 )
 
 // Profile is the entity presentation area content (Fig. 3-d): everything
-// PivotE shows when the user clicks an entity.
+// PivotE shows when the user clicks an entity. The JSON form is the
+// GET /api/v1/profile body.
 type Profile struct {
-	ID         rdf.TermID
-	IRI        string
-	Name       string
-	Abstract   string
-	Types      []string
-	Categories []string
-	Facts      []Fact // outgoing semantic relations, entity objects
-	Literals   []Fact // outgoing attributes (predicate → literal)
-	InvertedIn []Fact // incoming semantic relations (subject → predicate)
+	ID         rdf.TermID `json:"id"`
+	IRI        string     `json:"iri"`
+	Name       string     `json:"name"`
+	Abstract   string     `json:"abstract,omitempty"`
+	Types      []string   `json:"types"`
+	Categories []string   `json:"categories"`
+	Facts      []Fact     `json:"facts"`    // outgoing semantic relations, entity objects
+	Literals   []Fact     `json:"literals"` // outgoing attributes (predicate → literal)
+	InvertedIn []Fact     `json:"incoming"` // incoming semantic relations (subject → predicate)
 }
 
 // Fact is one displayed statement about the entity.
 type Fact struct {
-	Predicate string
-	Value     string
+	Predicate string `json:"predicate"`
+	Value     string `json:"value"`
 }
 
 // ProfileOf assembles the presentation-area content for e. maxFacts

@@ -9,7 +9,6 @@ import (
 	"pivote/internal/kg"
 	"pivote/internal/rdf"
 	"pivote/internal/text"
-	"pivote/internal/topk"
 )
 
 // Model selects the retrieval model.
@@ -162,10 +161,6 @@ func (e *Engine) SearchCtx(ctx context.Context, query string, k int, model Model
 	return e.searchScatter(ctx, terms, k, model)
 }
 
-// checkEvery is how many candidate documents the retained naive scoring
-// loops process between context checks.
-const checkEvery = 1024
-
 // normWeights returns the field weights normalized to sum to 1, or a
 // typed "invalid" error when they are all zero (or sum non-positive).
 func (e *Engine) normWeights() ([index.NumFields]float64, error) {
@@ -183,20 +178,10 @@ func (e *Engine) normWeights() ([index.NumFields]float64, error) {
 	return w, nil
 }
 
-func (e *Engine) hit(doc int, score float64) Hit {
-	ent := e.idx.Entity(doc)
-	return Hit{Entity: ent, Name: e.g.Name(ent), Score: score}
-}
-
 // lessHit orders hits descending by score, ties by entity ID.
 func lessHit(a, b Hit) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
 	return a.Entity < b.Entity
-}
-
-// topK selects the k best hits via the shared bounded-heap helper.
-func topK(hits []Hit, k int) []Hit {
-	return topk.Select(hits, k, lessHit)
 }

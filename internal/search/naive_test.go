@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"pivote/internal/index"
+	"pivote/internal/topk"
 )
 
 // This file keeps the document-at-a-time scorers that predate the
@@ -13,7 +14,12 @@ import (
 // candidate document they probe TF(field, term, doc) with a binary
 // search inside the term's posting run. The equivalence suite pins the
 // scatter scorers to these byte for byte — same hits, same score bits,
-// same order. They are not wired to any production entry point.
+// same order. They live in a test file: no production entry point
+// reaches them.
+
+// checkEvery is how many candidate documents the naive scoring loops
+// process between context checks.
+const checkEvery = 1024
 
 // searchNaive runs the pre-scatter pipeline: materialize and score every
 // candidate document, then select top-k.
@@ -220,4 +226,14 @@ func (e *Engine) naiveBoolean(ctx context.Context, terms []string) ([]Hit, error
 		}
 	}
 	return hits, nil
+}
+
+func (e *Engine) hit(doc int, score float64) Hit {
+	ent := e.idx.Entity(doc)
+	return Hit{Entity: ent, Name: e.g.Name(ent), Score: score}
+}
+
+// topK selects the k best hits via the shared bounded-heap helper.
+func topK(hits []Hit, k int) []Hit {
+	return topk.Select(hits, k, lessHit)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // The scatter scorer inverts the retrieval loop. The retained naive path
-// (naive.go) is document-at-a-time: for every candidate document it
+// (naive_test.go) is document-at-a-time: for every candidate document it
 // probes TF(field, term, doc) — a binary search inside the posting run —
 // once per (field, term), and materializes every scored hit before
 // selecting the top k. The scatter path is term-at-a-time over the

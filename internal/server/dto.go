@@ -1,26 +1,19 @@
-// Package server exposes a PivotE engine over HTTP: a JSON API mirroring
-// every interaction of the paper's interface plus an embedded
-// single-page web UI. One Server wraps one engine (one user session);
-// requests are serialized with a mutex because the underlying session is
-// stateful.
+// Package server exposes a PivotE engine over HTTP: the versioned /api/v1
+// operation protocol, which carries every interaction of the paper's
+// interface as an op, its read-only renderings (profile, explanation,
+// suggestions, heat map and path), and an embedded single-page web UI
+// that drives exactly that surface. One Server wraps one engine (one
+// user session); Multi fronts many sessions over one shared read core.
+// Mutations of a session serialize behind its lock because the
+// underlying session is stateful.
 package server
 
 import (
 	"pivote/internal/apidto"
 	"pivote/internal/core"
-	"pivote/internal/heatmap"
 	"pivote/internal/kg"
 	"pivote/internal/session"
 )
-
-// stateDTO is the JSON form of a core.Result.
-type stateDTO struct {
-	Description string          `json:"description"`
-	Entities    []EntityDTO     `json:"entities"`
-	Features    []FeatureDTO    `json:"features"`
-	Heat        *heatmap.Matrix `json:"heat,omitempty"`
-	Timeline    []TimelineDTO   `json:"timeline"`
-}
 
 // The v1 wire types live in internal/apidto (a leaf package shared with
 // the inter-node binary codec in internal/wire) and are re-exported
@@ -32,52 +25,23 @@ type (
 	TimelineDTO = apidto.TimelineDTO
 )
 
-type profileDTO struct {
-	ID         uint32    `json:"id"`
-	IRI        string    `json:"iri"`
-	Name       string    `json:"name"`
-	Abstract   string    `json:"abstract,omitempty"`
-	Types      []string  `json:"types"`
-	Categories []string  `json:"categories"`
-	Facts      []factDTO `json:"facts"`
-	Literals   []factDTO `json:"literals"`
-	Incoming   []factDTO `json:"incoming"`
-}
-
-type factDTO struct {
-	Predicate string `json:"predicate"`
-	Value     string `json:"value"`
-}
-
-type errorDTO struct {
-	Error string `json:"error"`
-}
-
-// StateV1DTO is the /api/v1 state shape: identical to stateDTO except
-// that unrequested areas are omitted entirely (the engine leaves them
-// nil under field selection), so a ?include=entities response carries no
-// feature, heat-map or timeline payload at all. Exported (with the rest
-// of the v1 wire types) so the scatter-gather router can decode, merge
-// and re-encode shard responses without drifting from the shapes the
-// shard nodes serve.
+// StateV1DTO is the /api/v1 state shape: unrequested areas are omitted
+// entirely (the engine leaves them nil under field selection), so a
+// ?include=entities response carries no feature, heat-map or timeline
+// payload at all. Exported (with the rest of the v1 wire types) so the
+// scatter-gather router can decode, merge and re-encode shard responses
+// without drifting from the shapes the shard nodes serve.
 type StateV1DTO = apidto.StateV1DTO
 
 // ToStateV1DTO renders a result in the v1 wire shape against the graph
 // it was evaluated on.
 func ToStateV1DTO(g *kg.Graph, res *core.Result) StateV1DTO {
-	full := toStateDTO(g, res)
-	return StateV1DTO{
-		Description: full.Description,
-		Entities:    full.Entities,
-		Features:    full.Features,
-		Heat:        full.Heat,
-		Timeline:    full.Timeline,
+	dto := StateV1DTO{
+		Description: res.Description,
+		Heat:        res.Heat,
+		Timeline:    toTimelineDTO(res.Timeline),
 		Fallback:    res.Fallback,
 	}
-}
-
-func toStateDTO(g *kg.Graph, res *core.Result) stateDTO {
-	dto := stateDTO{Description: res.Description, Heat: res.Heat}
 	for _, e := range res.Entities {
 		typeName := ""
 		if t := g.PrimaryType(e.Entity); t != 0 {
@@ -95,7 +59,6 @@ func toStateDTO(g *kg.Graph, res *core.Result) stateDTO {
 			ExtentSize: f.ExtentSize,
 		})
 	}
-	dto.Timeline = toTimelineDTO(res.Timeline)
 	return dto
 }
 
@@ -111,25 +74,4 @@ func toTimelineDTO(actions []session.Action) []TimelineDTO {
 		})
 	}
 	return out
-}
-
-func toProfileDTO(p kg.Profile) profileDTO {
-	conv := func(fs []kg.Fact) []factDTO {
-		out := make([]factDTO, 0, len(fs))
-		for _, f := range fs {
-			out = append(out, factDTO{Predicate: f.Predicate, Value: f.Value})
-		}
-		return out
-	}
-	return profileDTO{
-		ID:         uint32(p.ID),
-		IRI:        p.IRI,
-		Name:       p.Name,
-		Abstract:   p.Abstract,
-		Types:      p.Types,
-		Categories: p.Categories,
-		Facts:      conv(p.Facts),
-		Literals:   conv(p.Literals),
-		Incoming:   conv(p.InvertedIn),
-	}
 }

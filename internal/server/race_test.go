@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"sync"
 	"testing"
 
@@ -28,13 +27,13 @@ func TestMultiConcurrentSessions(t *testing.T) {
 	defer ts.Close()
 
 	newClient := func() *http.Client {
-		jar := &cookieJar{}
-		return &http.Client{Jar: jar}
+		return &http.Client{Jar: &cookieJar{}}
 	}
 
-	post := func(c *http.Client, path string, body interface{}) error {
-		raw, _ := json.Marshal(body)
-		resp, err := c.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+	// apply POSTs one op to /api/v1/ops.
+	apply := func(c *http.Client, op core.OpDTO) error {
+		raw, _ := json.Marshal(map[string]interface{}{"ops": []core.OpDTO{op}})
+		resp, err := c.Post(ts.URL+"/api/v1/ops", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			return err
 		}
@@ -43,7 +42,7 @@ func TestMultiConcurrentSessions(t *testing.T) {
 			return err
 		}
 		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST %s: status %d", path, resp.StatusCode)
+			return fmt.Errorf("POST /api/v1/ops %s: status %d", op.Op, resp.StatusCode)
 		}
 		return nil
 	}
@@ -53,8 +52,13 @@ func TestMultiConcurrentSessions(t *testing.T) {
 			return err
 		}
 		defer resp.Body.Close()
-		_, err = io.Copy(io.Discard, resp.Body)
-		return err
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return nil
 	}
 
 	const writers = 4
@@ -64,7 +68,7 @@ func TestMultiConcurrentSessions(t *testing.T) {
 	// One shared session exercised by all the readers while one writer
 	// mutates it.
 	sharedClient := newClient()
-	if err := post(sharedClient, "/api/query", map[string]string{"keywords": "forrest"}); err != nil {
+	if err := apply(sharedClient, core.OpDTO{Op: "submit", Keywords: "forrest"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,15 +81,15 @@ func TestMultiConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			c := newClient() // distinct cookie → distinct session
 			for i := 0; i < iters; i++ {
-				if err := post(c, "/api/query", map[string]string{"keywords": "hanks"}); err != nil {
+				if err := apply(c, core.OpDTO{Op: "submit", Keywords: "hanks"}); err != nil {
 					errs <- err
 					return
 				}
-				if err := post(c, "/api/entity/add", map[string]string{"name": "Forrest_Gump"}); err != nil {
+				if err := apply(c, core.OpDTO{Op: "add-entity", Entity: "Forrest_Gump"}); err != nil {
 					errs <- err
 					return
 				}
-				if err := post(c, "/api/pivot", map[string]string{"name": "Tom_Hanks"}); err != nil {
+				if err := apply(c, core.OpDTO{Op: "pivot", Entity: "Tom_Hanks"}); err != nil {
 					errs <- err
 					return
 				}
@@ -97,11 +101,11 @@ func TestMultiConcurrentSessions(t *testing.T) {
 	go func() { // writer on the shared session
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if err := post(sharedClient, "/api/entity/add", map[string]string{"name": "Apollo_13"}); err != nil {
+			if err := apply(sharedClient, core.OpDTO{Op: "add-entity", Entity: "Apollo_13"}); err != nil {
 				errs <- err
 				return
 			}
-			if err := post(sharedClient, "/api/entity/remove", map[string]string{"name": "Apollo_13"}); err != nil {
+			if err := apply(sharedClient, core.OpDTO{Op: "remove-entity", Entity: "Apollo_13"}); err != nil {
 				errs <- err
 				return
 			}
@@ -113,7 +117,11 @@ func TestMultiConcurrentSessions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				for _, p := range []string{"/api/state", "/api/heatmap.svg", "/api/path.svg", "/api/suggest?q=gump"} {
+				for _, p := range []string{
+					"/api/v1/state", "/api/v1/heatmap.svg", "/api/v1/path.svg", "/api/v1/path.dot",
+					"/api/v1/suggest?q=gump", "/api/v1/profile?entity=Forrest_Gump",
+					"/api/v1/explain?entity=Apollo_13&feature=Tom_Hanks:starring",
+				} {
 					if err := get(sharedClient, p); err != nil {
 						errs <- err
 						return
@@ -132,26 +140,4 @@ func TestMultiConcurrentSessions(t *testing.T) {
 	if n := m.SessionCount(); n < 2 {
 		t.Fatalf("expected multiple sessions, got %d", n)
 	}
-}
-
-// cookieJar is a minimal concurrency-safe jar: it remembers the last
-// cookies set and replays them on every request, which is all the
-// session-cookie flow needs.
-type cookieJar struct {
-	mu      sync.Mutex
-	cookies []*http.Cookie
-}
-
-func (j *cookieJar) SetCookies(_ *url.URL, cookies []*http.Cookie) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(cookies) > 0 {
-		j.cookies = cookies
-	}
-}
-
-func (j *cookieJar) Cookies(_ *url.URL) []*http.Cookie {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cookies
 }

@@ -31,29 +31,31 @@ func clientWithJar(t *testing.T) *http.Client {
 	return &http.Client{Jar: jar}
 }
 
-func postQuery(t *testing.T, c *http.Client, url, keywords string) stateDTO {
+func postQuery(t *testing.T, c *http.Client, url, keywords string) StateV1DTO {
 	t.Helper()
-	raw, _ := json.Marshal(map[string]string{"keywords": keywords})
-	resp, err := c.Post(url+"/api/query", "application/json", bytes.NewReader(raw))
+	raw, _ := json.Marshal(map[string]interface{}{
+		"ops": []core.OpDTO{{Op: "submit", Keywords: keywords}},
+	})
+	resp, err := c.Post(url+"/api/v1/ops", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st stateDTO
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var out OpsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return out.State
 }
 
-func getState(t *testing.T, c *http.Client, url string) stateDTO {
+func getState(t *testing.T, c *http.Client, url string) StateV1DTO {
 	t.Helper()
-	resp, err := c.Get(url + "/api/state")
+	resp, err := c.Get(url + "/api/v1/state")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st stateDTO
+	var st StateV1DTO
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -108,27 +110,25 @@ func TestMultiSessionEviction(t *testing.T) {
 
 func TestSessionSaveLoadEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t)
-	postJSON(t, ts.URL+"/api/query", map[string]string{"keywords": "forrest gump"})
-	postJSON(t, ts.URL+"/api/entity/add", map[string]string{"name": "Forrest_Gump"})
+	applyOps(t, ts.URL,
+		core.OpDTO{Op: "submit", Keywords: "forrest gump"},
+		core.OpDTO{Op: "add-entity", Entity: "Forrest_Gump"})
 
-	resp, err := http.Get(ts.URL + "/api/session/save")
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := new(bytes.Buffer)
-	_, _ = saved.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(saved.String(), "Forrest_Gump") {
-		t.Fatal("saved session lacks the seed")
+	resp, saved := doV1(t, "GET", ts.URL+"/api/v1/session", "")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(saved), "Forrest_Gump") {
+		t.Fatalf("saved session lacks the seed (%d): %s", resp.StatusCode, saved)
 	}
 
 	// Load into a fresh server.
 	ts2, _ := newTestServer(t)
-	resp2, err := http.Post(ts2.URL+"/api/session/load", "application/json", bytes.NewReader(saved.Bytes()))
-	if err != nil {
+	resp, raw := doV1(t, "POST", ts2.URL+"/api/v1/session", string(saved))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("load status = %d: %s", resp.StatusCode, raw)
+	}
+	var st StateV1DTO
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	st := decodeState(t, resp2)
 	if !strings.Contains(st.Description, "Forrest Gump") {
 		t.Fatalf("loaded description = %q", st.Description)
 	}
@@ -136,13 +136,14 @@ func TestSessionSaveLoadEndpoints(t *testing.T) {
 		t.Fatalf("loaded timeline = %d actions", len(st.Timeline))
 	}
 
-	// Malformed load is rejected.
-	resp3, err := http.Post(ts2.URL+"/api/session/load", "application/json", strings.NewReader("{bad"))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed load is rejected and leaves the loaded session intact.
+	resp, raw = doV1(t, "POST", ts2.URL+"/api/v1/session", "{bad")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad load status = %d", resp.StatusCode)
 	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad load status = %d", resp3.StatusCode)
+	decodeV1Err(t, raw)
+	_, after := doV1(t, "GET", ts2.URL+"/api/v1/session", "")
+	if !bytes.Equal(after, saved) {
+		t.Fatalf("failed load changed the session:\n%s", after)
 	}
 }

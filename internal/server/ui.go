@@ -1,11 +1,13 @@
 package server
 
 // indexHTML is the embedded single-page UI: the five areas of the paper's
-// Figure 3 rendered with vanilla JavaScript against the JSON API.
-// Interactions mirror the demo: click an entity to look up its profile,
-// "+" to add it as an example, double-click to pivot into its domain;
-// click a feature to pin it as a condition, double-click to pivot to its
-// anchor; the timeline revisits historical queries.
+// Figure 3 rendered with vanilla JavaScript against /api/v1. Every
+// interaction is one op POSTed to /api/v1/ops, and the page renders the
+// state that comes back. Interactions mirror the demo: click an entity
+// to look up its profile (a lookup op, then GET /api/v1/profile), "+" to
+// add it as an example, double-click to pivot into its domain; click a
+// feature to pin it as a condition, double-click to pivot to its anchor;
+// the timeline revisits historical queries.
 const indexHTML = `<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -54,12 +56,17 @@ const indexHTML = `<!DOCTYPE html>
 </main>
 <script>
 const COLORS = ["#f7fbff","#deebf7","#c6dbef","#9ecae1","#6baed6","#3182bd","#08519c"];
-async function api(path, body) {
-  const opts = body ? {method:"POST", headers:{"Content-Type":"application/json"}, body:JSON.stringify(body)} : {};
+async function api(method, path, body) {
+  const opts = {method};
+  if (body) { opts.headers = {"Content-Type":"application/json"}; opts.body = JSON.stringify(body); }
   const r = await fetch(path, opts);
   const data = await r.json();
-  if (data.error) { alert(data.error); return null; }
+  if (data.error) { alert(data.error.message); return null; }
   return data;
+}
+async function apply(op, include) {
+  const resp = await api("POST", "/api/v1/ops", include ? {ops:[op], include} : {ops:[op]});
+  return resp && resp.state;
 }
 function render(st) {
   if (!st) return;
@@ -70,10 +77,10 @@ function render(st) {
     const name = document.createElement("span"); name.className="name";
     name.textContent = e.name + (e.type ? " ["+e.type+"]" : "");
     name.onclick = () => profile(e.id);
-    name.ondblclick = () => post("/api/pivot", {id:e.id});
+    name.ondblclick = () => post({op:"pivot", entityId:e.id});
     const add = document.createElement("button"); add.textContent="+";
     add.title="add as example entity";
-    add.onclick = () => post("/api/entity/add", {id:e.id});
+    add.onclick = () => post({op:"add-entity", entityId:e.id});
     const sc = document.createElement("span"); sc.className="score"; sc.textContent = e.score.toFixed(4);
     li.append(add, name, sc); ents.append(li);
   });
@@ -81,19 +88,22 @@ function render(st) {
   (st.features||[]).forEach(f => {
     const li = document.createElement("li");
     const name = document.createElement("span"); name.className="name"; name.textContent = f.label;
-    name.ondblclick = () => post("/api/pivot", {id:f.anchorId});
+    name.ondblclick = () => post({op:"pivot", entityId:f.anchorId});
     const add = document.createElement("button"); add.textContent="+"; add.title="pin as condition";
-    add.onclick = () => post("/api/feature/add", {label:f.label});
+    add.onclick = () => post({op:"add-feature", feature:f.label});
     const sc = document.createElement("span"); sc.className="score";
     sc.textContent = "r="+f.r.toExponential(2)+" |E|="+f.extentSize;
     li.append(add, name, sc); feats.append(li);
   });
   renderHeat(st.heat);
+  renderTimeline(st.timeline);
+}
+function renderTimeline(timeline) {
   const tl = document.getElementById("timeline"); tl.innerHTML = "";
-  (st.timeline||[]).forEach(a => {
+  (timeline||[]).forEach(a => {
     const li = document.createElement("li");
     li.textContent = "["+a.step+"] "+a.label;
-    if (a.changesQuery) li.onclick = () => post("/api/revisit", {step:a.step});
+    if (a.changesQuery) li.onclick = () => post({op:"revisit", step:a.step});
     tl.append(li);
   });
 }
@@ -118,12 +128,17 @@ function renderHeat(h) {
   });
   div.append(t);
 }
-async function post(path, body) { render(await api(path, body)); }
-async function submitQuery() { render(await api("/api/query", {keywords: document.getElementById("q").value})); }
+async function post(op) { render(await apply(op)); }
+async function submitQuery() { post({op:"submit", keywords: document.getElementById("q").value}); }
 async function profile(id) {
-  const p = await api("/api/profile?id="+id);
+  // The lookup op records the view on the timeline without changing the
+  // query, so only the timeline is re-read; the profile read is pure.
+  const st = await apply({op:"lookup", entityId:id}, "timeline");
+  if (!st) return;
+  renderTimeline(st.timeline);
+  const p = await api("GET", "/api/v1/profile?entityId="+id);
   if (!p) return;
-  let txt = p.name + "\n" + (p.abstract||"") + "\ntypes: " + p.types.join(", ") +
+  let txt = p.name + "\n" + (p.abstract||"") + "\ntypes: " + (p.types||[]).join(", ") +
     "\ncategories: " + (p.categories||[]).join(", ") + "\n";
   (p.literals||[]).forEach(f => txt += "\n" + f.predicate + ": " + f.value);
   (p.facts||[]).forEach(f => txt += "\n" + f.predicate + " → " + f.value);
@@ -131,7 +146,7 @@ async function profile(id) {
   document.getElementById("profileText").textContent = txt;
 }
 document.getElementById("q").addEventListener("keydown", e => { if (e.key === "Enter") submitQuery(); });
-api("/api/state").then(render);
+api("GET", "/api/v1/state").then(render);
 </script>
 </body>
 </html>

@@ -11,6 +11,7 @@ import (
 
 	"pivote/internal/core"
 	"pivote/internal/kgtest"
+	"pivote/internal/wire"
 )
 
 // doV1 issues a request with a JSON string body (GET when body == "").
@@ -24,7 +25,7 @@ func doV1(t *testing.T, method, url, body string) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,44 +146,45 @@ func TestV1OpsSuccess(t *testing.T) {
 
 // TestV1BatchEquivalence replays a session op log as one batch and
 // asserts the final v1 state is byte-identical to the state reached by
-// the equivalent sequence of legacy single-op calls.
+// POSTing the same ops one per request.
 func TestV1BatchEquivalence(t *testing.T) {
-	legacyTS, _ := newTestServer(t)
+	seqTS, _ := newTestServer(t)
 	batchTS, _ := newTestServer(t)
+	ops := []string{
+		`{"op":"submit","keywords":"forrest gump"}`,
+		`{"op":"add-entity","entity":"Forrest_Gump"}`,
+		`{"op":"add-feature","feature":"Tom_Hanks:starring"}`,
+		`{"op":"pivot","entity":"Tom_Hanks"}`,
+		`{"op":"revisit","step":2}`,
+	}
 
-	// Drive the legacy server op by op.
-	postJSON(t, legacyTS.URL+"/api/query", map[string]string{"keywords": "forrest gump"})
-	postJSON(t, legacyTS.URL+"/api/entity/add", map[string]string{"name": "Forrest_Gump"})
-	postJSON(t, legacyTS.URL+"/api/feature/add", map[string]string{"label": "Tom_Hanks:starring"})
-	postJSON(t, legacyTS.URL+"/api/pivot", map[string]string{"name": "Tom_Hanks"})
-	postJSON(t, legacyTS.URL+"/api/revisit", map[string]int{"step": 2})
+	// Drive one server op by op.
+	for _, op := range ops {
+		if resp, raw := doV1(t, "POST", seqTS.URL+"/api/v1/ops", `{"ops":[`+op+`]}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("single op %s: status %d: %s", op, resp.StatusCode, raw)
+		}
+	}
 
 	// The same ops as one atomic batch (one lock acquisition, one
 	// evaluation) on a fresh server.
-	resp, raw := doV1(t, "POST", batchTS.URL+"/api/v1/ops", `{"ops":[
-		{"op":"submit","keywords":"forrest gump"},
-		{"op":"add-entity","entity":"Forrest_Gump"},
-		{"op":"add-feature","feature":"Tom_Hanks:starring"},
-		{"op":"pivot","entity":"Tom_Hanks"},
-		{"op":"revisit","step":2}
-	]}`)
+	resp, raw := doV1(t, "POST", batchTS.URL+"/api/v1/ops", `{"ops":[`+strings.Join(ops, ",")+`]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d: %s", resp.StatusCode, raw)
 	}
 
-	_, legacyState := doV1(t, "GET", legacyTS.URL+"/api/v1/state", "")
+	_, seqState := doV1(t, "GET", seqTS.URL+"/api/v1/state", "")
 	_, batchState := doV1(t, "GET", batchTS.URL+"/api/v1/state", "")
-	if !bytes.Equal(legacyState, batchState) {
-		t.Fatalf("batched replay diverged from sequential legacy calls:\nlegacy: %s\nbatch:  %s",
-			legacyState, batchState)
+	if !bytes.Equal(seqState, batchState) {
+		t.Fatalf("batched replay diverged from sequential single-op calls:\nsequential: %s\nbatch:      %s",
+			seqState, batchState)
 	}
 
 	// The op logs are byte-identical too: a session file saved from
 	// either server replays on the other.
-	_, legacyLog := doV1(t, "GET", legacyTS.URL+"/api/v1/session", "")
+	_, seqLog := doV1(t, "GET", seqTS.URL+"/api/v1/session", "")
 	_, batchLog := doV1(t, "GET", batchTS.URL+"/api/v1/session", "")
-	if !bytes.Equal(legacyLog, batchLog) {
-		t.Fatalf("op logs differ:\nlegacy: %s\nbatch: %s", legacyLog, batchLog)
+	if !bytes.Equal(seqLog, batchLog) {
+		t.Fatalf("op logs differ:\nsequential: %s\nbatch: %s", seqLog, batchLog)
 	}
 }
 
@@ -275,7 +277,7 @@ func TestV1SessionRoundTrip(t *testing.T) {
 func TestHeatmapSVGBothBranches(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	resp, raw := doV1(t, "GET", ts.URL+"/api/heatmap.svg", "")
+	resp, raw := doV1(t, "GET", ts.URL+"/api/v1/heatmap.svg", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("empty-branch status = %d", resp.StatusCode)
 	}
@@ -287,7 +289,7 @@ func TestHeatmapSVGBothBranches(t *testing.T) {
 	}
 
 	doV1(t, "POST", ts.URL+"/api/v1/ops", `{"ops":[{"op":"add-entity","entity":"Forrest_Gump"}]}`)
-	resp, full := doV1(t, "GET", ts.URL+"/api/heatmap.svg", "")
+	resp, full := doV1(t, "GET", ts.URL+"/api/v1/heatmap.svg", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(full), "<svg") {
 		t.Fatalf("populated branch = %d: %.80s", resp.StatusCode, full)
 	}
@@ -326,4 +328,49 @@ func TestMultiLRUTouch(t *testing.T) {
 	if st := getState(t, bob, ts.URL); len(st.Timeline) != 0 {
 		t.Fatalf("bob not evicted: timeline = %d", len(st.Timeline))
 	}
+}
+
+// FuzzV1Ops drives arbitrary bodies, JSON or binary wire, through the
+// public op batch endpoint of the multi-session front end. Every body
+// must be answered with a 200 or with a 4xx carrying a well-formed
+// {"error":{"kind","message"}} envelope; a 5xx or a panic is a bug.
+func FuzzV1Ops(f *testing.F) {
+	for _, seed := range []string{
+		`{"ops":[{"op":"submit","keywords":"forrest gump"},{"op":"add-entity","entity":"Forrest_Gump"}]}`,
+		`{"ops":[{"op":"add-feature","feature":"Tom_Hanks:starring"},{"op":"pivot","entity":"Tom_Hanks"},{"op":"revisit","step":1}],"include":"entities,timeline"}`,
+		`{"ops":[{"op":"lookup","entityId":3},{"op":"remove-entity","entity":"Apollo_13"}],"include":"heatmap"}`,
+		`{"ops":[{"op":"explode"}]}`,
+		`{"ops":[],"include":"bogus"}`,
+		`{bad`,
+		``,
+	} {
+		f.Add([]byte(seed), false)
+	}
+	f.Add(wire.AppendOpsRequest(nil, []core.OpDTO{{Op: "submit", Keywords: "gump"}, {Op: "pivot", Entity: "Tom_Hanks"}}, ""), true)
+	f.Add([]byte{'P', 'V', 'W', 1}, true)
+
+	h := NewMulti(kgtest.Build().Graph, core.Options{TopEntities: 5, TopFeatures: 5}, 4).Handler()
+	f.Fuzz(func(t *testing.T, body []byte, wireBody bool) {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/ops", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		if wireBody {
+			req.Header.Set("Content-Type", wire.ContentType)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch {
+		case rec.Code == http.StatusOK:
+			var out OpsResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("200 body is not an ops response: %v\n%s", err, rec.Body.Bytes())
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			var env V1ErrorEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Kind == "" || env.Error.Message == "" {
+				t.Fatalf("%d without a typed error envelope (%v): %s", rec.Code, err, rec.Body.Bytes())
+			}
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+	})
 }

@@ -30,8 +30,8 @@
 // Apply validates the op (typed errors: NotFound/Invalid/Canceled/
 // Internal), honors context cancellation inside the expensive ranking
 // loops, and records the op in a replayable log — a saved session is
-// nothing but that []Op. The legacy method spellings (eng.Submit,
-// eng.AddSeed, ...) remain as one-line conveniences over Apply.
+// nothing but that []Op. EvaluateCtx re-reads the current state and
+// LookupCtx records a profile view and returns the profile.
 //
 // Real data loads from N-Triples via LoadNTriples; the vocabulary
 // (rdf:type, rdfs:label, dct:subject, dbo:wikiPageRedirects, ...) matches
@@ -106,7 +106,7 @@ type (
 	OpKind = core.OpKind
 	OpDTO  = core.OpDTO
 
-	// Fields selects which interface areas Apply/Evaluate assemble.
+	// Fields selects which interface areas ApplyFields/EvaluateCtx assemble.
 	Fields = core.Fields
 
 	// EngineError is the typed error every Apply failure carries;
